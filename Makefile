@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench
+.PHONY: build test verify bench stress
 
 build:
 	$(GO) build ./...
@@ -8,12 +8,16 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the extended check: tier-1 build+test plus gofmt, vet, a race
-# pass over the concurrent packages — the data path (enclave, edenvm,
-# transport), the control plane (controller, ctlproto), the trial-parallel
-# experiment harness, and the observability layer (telemetry, metrics,
-# trace) whose snapshot/span paths are read concurrently by the ops
-# endpoint — a single-iteration bench smoke so benchmark code cannot rot,
+# verify is the extended check: tier-1 build+test plus gofmt, vet, a
+# cross-platform vet of udpnet (linux/arm64 takes the sendmmsg path with
+# std's syscall number, darwin the per-datagram fallback, so neither the
+# per-arch constant nor the fallback file can rot), a race pass over the
+# concurrent packages — the data path (enclave, edenvm, transport), the
+# control plane (controller, ctlproto), the trial-parallel experiment
+# harness, the observability layer (telemetry, metrics, trace) whose
+# snapshot/span paths are read concurrently by the ops endpoint, and the
+# real-socket node (udpnet) — a single-iteration bench smoke so benchmark
+# code cannot rot,
 # a flight-recorder smoke: one recorded fig9 iteration that fails if the
 # series is empty, non-monotonic, or disagrees with the terminal counter
 # snapshot, a churn smoke: one small delta-distribution round over a real
@@ -34,6 +38,8 @@ verify: build
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) vet ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/udpnet/
+	GOOS=darwin $(GO) vet ./internal/udpnet/
 	$(GO) test ./...
 	$(GO) test -race ./internal/enclave/ ./internal/edenvm/ ./internal/transport/ ./internal/controller/ ./internal/ctlproto/ ./internal/experiments/ ./internal/netsim/ ./internal/telemetry/ ./internal/metrics/ ./internal/trace/ ./internal/udpnet/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
@@ -46,3 +52,14 @@ verify: build
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# stress runs the tier-1 suite 20 times while a second test binary (the
+# experiments suite, looping) loads the CPU. Under contention, goroutines
+# run late: a test that reads a counter or a ring before waiting for the
+# event that fills it fails here long before it flakes in CI.
+stress:
+	@mkdir -p .stress
+	$(GO) test -c -o .stress/load.test ./internal/experiments/
+	@(cd internal/experiments && exec ../../.stress/load.test -test.count=100000 -test.timeout=2h >/dev/null 2>&1) & load=$$!; \
+	trap 'kill $$load 2>/dev/null' EXIT INT TERM; \
+	$(GO) test -count=20 -timeout=1h ./...

@@ -223,40 +223,6 @@ func BenchmarkProcessParallel(b *testing.B) { benchProcessParallel(b, enclave.VM
 // the pre-compiled-backend baseline.
 func BenchmarkProcessParallelInterp(b *testing.B) { benchProcessParallel(b, enclave.VMInterp) }
 
-// BenchmarkProcessBatchParallel is the batched variant: each goroutine
-// submits 64-packet batches, amortizing the per-packet pipeline and
-// interpreter checkout, again racing background rule churn.
-func BenchmarkProcessBatchParallel(b *testing.B) {
-	e := benchEnclave(b, enclave.VMDefault)
-	stop := make(chan struct{})
-	var churns atomic.Int64
-	go churnRules(e, stop, &churns)
-	const batch = 64
-	var srcPort atomic.Uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		pkts := make([]*packet.Packet, batch)
-		for i := range pkts {
-			p := packet.New(0x0a000001, 0x0a000002, uint16(10000+srcPort.Add(1)), 80, 1400)
-			p.Meta.Class = "a.b.c"
-			pkts[i] = p
-		}
-		var now int64
-		for pb.Next() {
-			now++
-			for _, p := range pkts {
-				p.Meta.MsgID = 0 // fresh arrivals
-			}
-			e.ProcessBatch(enclave.Egress, pkts, now)
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
-	b.ReportMetric(float64(churns.Load()), "rule-churns")
-}
-
 // BenchmarkTable1 runs every Table 1 capability demonstration.
 func BenchmarkTable1(b *testing.B) {
 	ok := 0.0

@@ -165,9 +165,9 @@ type queueMeter struct {
 // concurrent use.
 //
 // Concurrency model: the match-action configuration lives in an immutable
-// pipeline snapshot published through an atomic pointer. Process and
-// ProcessBatch load the snapshot once and never acquire mu — the data
-// path is lock-free with respect to the control plane. Control-plane
+// pipeline snapshot published through an atomic pointer. Process loads
+// the snapshot once per packet and never acquires mu — the data path is
+// lock-free with respect to the control plane. Control-plane
 // mutations serialize on mu, build the next snapshot copy-on-write, and
 // swap it in with a monotonically increasing generation number (see
 // pipeline.go and tx.go).
@@ -175,7 +175,7 @@ type Enclave struct {
 	cfg Config
 
 	// pipe is the published snapshot; the single atomic load per
-	// packet (or per batch) that replaces the old read lock.
+	// packet that replaces the old read lock.
 	pipe atomic.Pointer[pipeline]
 	mode atomic.Int32
 
@@ -201,6 +201,7 @@ type Enclave struct {
 	stats    counters
 	interpNs *metrics.Histogram // nil unless Config.WallClock is set
 	vmPool   sync.Pool
+	vmSeq    atomic.Uint64 // numbers pooled VMs for their RNG seeds
 
 	// epochs is the engine's idle clock (from Config.IdleTimeout);
 	// zero-valued (disabled) when reclamation is off.
@@ -489,28 +490,7 @@ func (e *Enclave) FlowClassifier() *FlowClassifier { return e.flows }
 // functions, and resolves the control outputs into a verdict. The packet's
 // headers and metadata may be modified in place.
 func (e *Enclave) Process(dir Direction, pkt *packet.Packet, now int64) Verdict {
-	return e.processWith(e.pipe.Load(), dir, pkt, now, nil)
-}
-
-// ProcessBatch processes a batch of packets through the pipeline,
-// amortizing the interpreter checkout and the pipeline-snapshot load
-// across the batch (§6: "techniques like IO batching ... are often
-// employed to reduce the processing overhead"; Eden's per-packet
-// functions apply unchanged to each packet of the batch). The snapshot is
-// resolved once, so every packet of the batch observes the same policy
-// generation. Verdicts are returned in packet order.
-func (e *Enclave) ProcessBatch(dir Direction, pkts []*packet.Packet, now int64) []Verdict {
 	p := e.pipe.Load()
-	vs := e.vmPool.Get().(*vmState)
-	defer e.vmPool.Put(vs)
-	out := make([]Verdict, len(pkts))
-	for i, pkt := range pkts {
-		out[i] = e.processWith(p, dir, pkt, now, vs)
-	}
-	return out
-}
-
-func (e *Enclave) processWith(p *pipeline, dir Direction, pkt *packet.Packet, now int64, vs *vmState) Verdict {
 	e.stats.packets.Add(1)
 	tr := e.cfg.Tracer
 	traced := tr.Traces(pkt)
@@ -559,7 +539,7 @@ func (e *Enclave) processWith(p *pipeline, dir Direction, pkt *packet.Packet, no
 			continue
 		}
 		anyMatch = true
-		e.invokeWith(f, pkt, now, mode, vs)
+		e.invoke(f, pkt, now, mode)
 		if pkt.Meta.Control.Drop != 0 {
 			e.stats.matched.Add(1)
 			e.stats.drops.Add(1)

@@ -224,6 +224,56 @@ func TestFuncMsgEvictionIdleOrdered(t *testing.T) {
 	}
 }
 
+// Regression for hottest-message eviction: the second chance used to
+// compare coarse epoch stamps, so a message hit only within its creation
+// epoch looked idle and the busiest message was evicted once entries
+// passed MaxMessages. One enclave-classified hot flow (every fifth
+// packet) runs among tagged single-packet messages that never end: its
+// message state must survive the cap, and PIAS must keep demoting it
+// down to priority 0 once it has sent more than 1 MB.
+func TestFuncMsgEvictionSparesHotMessage(t *testing.T) {
+	var now int64
+	e := New(Config{Name: "x", Clock: func() int64 { return now }, MaxMessages: 4096})
+	installPIAS(t, e)
+
+	const hotPkts = 3000
+	var hotID uint64
+	var hotBytes int64
+	tagged := uint64(1 << 32)
+	for i := 0; i < 5*hotPkts; i++ {
+		now += 1000
+		if i%5 != 0 {
+			tagged++
+			p := mkPkt(100)
+			p.Meta.Class = "a.b.c"
+			p.Meta.MsgID = tagged
+			e.Process(Egress, p, now)
+			continue
+		}
+		p := mkPkt(1400) // MsgID 0: the enclave assigns the flow's message
+		p.Meta.Class = "a.b.c"
+		hotBytes += p.Get(packet.FieldSize) // before PIAS adds a VLAN tag
+		e.Process(Egress, p, now)
+		hotID = p.Meta.MsgID
+		if prio := p.Get(packet.FieldPriority); hotBytes > 1<<20 && prio != 0 {
+			t.Fatalf("hot packet %d: PIAS priority %d at %d message bytes, want 0", i/5, prio, hotBytes)
+		}
+	}
+	if hotBytes <= 1<<20 {
+		t.Fatalf("hot flow sent only %d bytes", hotBytes)
+	}
+	slots, ok := e.MsgState("pias", hotID)
+	if !ok {
+		t.Fatal("hot message state was evicted")
+	}
+	if slots[0] != hotBytes {
+		t.Errorf("hot message size = %d, want %d", slots[0], hotBytes)
+	}
+	if got := e.Metrics().Snapshot().Counters["func_msg_evictions"]; got == 0 {
+		t.Error("func_msg_evictions = 0: the cap was never reached")
+	}
+}
+
 // The flow→message-ID hit path must not allocate: a packet on a known
 // flow costs a shard read-lock and an atomic stamp refresh, nothing else.
 func TestFlowHitPathZeroAllocs(t *testing.T) {

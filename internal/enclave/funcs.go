@@ -51,13 +51,14 @@ type installedFunc struct {
 	// lock; creation and eviction upgrade to the write lock.
 	msgMu    sync.RWMutex
 	msgState map[uint64]*msgEntry
-	// msgOrder is the idle-ordered eviction queue: entries are queued at
-	// creation with their touch stamp and evicted front-first, but an
-	// entry touched since it was queued is requeued instead (a CLOCK-style
-	// second chance), so cap pressure lands on idle messages, oldest
-	// first. Entries already released (endMessage, the idle sweeper) are
-	// skipped when popped and compacted away by sweepMsgState.
-	msgOrder []msgOrderEntry
+	// msgOrder is the CLOCK eviction queue of message ids: entries are
+	// queued at creation and evicted front-first, but an entry whose
+	// reference bit is set (a lookup hit since it was queued) has the bit
+	// cleared and is requeued instead, so cap pressure lands on messages
+	// no packet has touched since their last pass, oldest first. Entries
+	// already released (endMessage, the idle sweeper) are skipped when
+	// popped and compacted away by sweepMsgState.
+	msgOrder []uint64
 	maxMsgs  int
 
 	// msgLifetime reports that the function declared per-message state it
@@ -83,16 +84,12 @@ type msgEntry struct {
 	mu    sync.Mutex
 	slots []int64
 	// touched is the qos.EpochSweep stamp of the last packet; written on
-	// the lock-free lookup path, read by the idle sweeper and eviction.
+	// the lock-free lookup path, read by the idle sweeper.
 	touched atomic.Int64
-}
-
-// msgOrderEntry is one eviction-queue slot: a message id and the entry's
-// touch stamp when it was (re)queued. A live entry whose stamp moved past
-// the queued one was touched since and earns a second chance.
-type msgOrderEntry struct {
-	id    uint64
-	stamp int64
+	// ref is the CLOCK reference bit: set by a lookup hit, cleared when
+	// eviction requeues the entry. Epoch stamps are too coarse for this —
+	// a message hit only within its creation epoch would look idle.
+	ref atomic.Bool
 }
 
 // newInstalledFunc builds the runtime representation of a freshly
@@ -248,9 +245,7 @@ func (f *installedFunc) entry(msgID uint64, stamp int64) *msgEntry {
 	ent, ok := f.msgState[msgID]
 	f.msgMu.RUnlock()
 	if ok {
-		if ent.touched.Load() != stamp {
-			ent.touched.Store(stamp)
-		}
+		ent.hit(stamp)
 		return ent
 	}
 	f.msgMu.Lock()
@@ -262,36 +257,47 @@ func (f *installedFunc) entry(msgID uint64, stamp int64) *msgEntry {
 		ent = &msgEntry{slots: slots}
 		ent.touched.Store(stamp)
 		f.msgState[msgID] = ent
-		f.msgOrder = append(f.msgOrder, msgOrderEntry{id: msgID, stamp: stamp})
+		f.msgOrder = append(f.msgOrder, msgID)
 		if len(f.msgState) > f.maxMsgs {
 			f.evictMsgLocked(msgID)
 		}
-	} else if ent.touched.Load() != stamp {
-		ent.touched.Store(stamp)
+	} else {
+		ent.hit(stamp)
 	}
 	return ent
 }
 
+// hit records a lookup hit: the touch stamp and the reference bit. Both
+// are loaded first so the common case — a busy message — does not write.
+func (ent *msgEntry) hit(stamp int64) {
+	if ent.touched.Load() != stamp {
+		ent.touched.Store(stamp)
+	}
+	if !ent.ref.Load() {
+		ent.ref.Store(true)
+	}
+}
+
 // evictMsgLocked removes one tracked message other than keep, preferring
-// idle entries in queue order: candidates pop from the front of msgOrder;
-// stale ids (already released) are dropped, and a candidate touched since
-// it was queued is requeued with its fresh stamp instead of dying. Two
-// full passes guarantee an eviction — after the first, every survivor's
-// queued stamp is current, so the second pass's front candidate loses its
-// second chance. Caller holds msgMu.
+// unreferenced entries in queue order: candidates pop from the front of
+// msgOrder; stale ids (already released) are dropped, and a candidate
+// with its reference bit set is requeued with the bit cleared instead of
+// dying. Two full passes guarantee an eviction — after the first, every
+// survivor's bit is clear unless a packet hit it meanwhile. Caller holds
+// msgMu.
 func (f *installedFunc) evictMsgLocked(keep uint64) {
 	for pops := 2*len(f.msgOrder) + 2; pops > 0 && len(f.msgOrder) > 0; pops-- {
-		oe := f.msgOrder[0]
+		id := f.msgOrder[0]
 		f.msgOrder = f.msgOrder[1:]
-		ent, ok := f.msgState[oe.id]
+		ent, ok := f.msgState[id]
 		if !ok {
 			continue // already ended or idle-swept
 		}
-		if t := ent.touched.Load(); oe.id == keep || t > oe.stamp {
-			f.msgOrder = append(f.msgOrder, msgOrderEntry{id: oe.id, stamp: t})
+		if id == keep || ent.ref.Swap(false) {
+			f.msgOrder = append(f.msgOrder, id)
 			continue
 		}
-		delete(f.msgState, oe.id)
+		delete(f.msgState, id)
 		f.msgEvictions.Add(1)
 		if f.allMsgEvictions != nil {
 			f.allMsgEvictions.Add(1)
@@ -336,9 +342,9 @@ func (f *installedFunc) sweepMsgState(epochs qos.EpochSweep, now int64) (scanned
 	// Drop queue slots whose entry is gone (ended, swept, or requeued
 	// after an end/recreate cycle) so the queue tracks the live map.
 	kept := f.msgOrder[:0]
-	for _, oe := range f.msgOrder {
-		if _, ok := f.msgState[oe.id]; ok {
-			kept = append(kept, oe)
+	for _, id := range f.msgOrder {
+		if _, ok := f.msgState[id]; ok {
+			kept = append(kept, id)
 		}
 	}
 	f.msgOrder = kept
@@ -351,17 +357,27 @@ type vmState struct {
 	env edenvm.Env
 }
 
+// newVM builds a pooled interpreter. Without Config.Rand the VM draws
+// from its own generator, and the pool drops VMs at every GC, so each new
+// VM gets its own seed: with one fixed seed every fresh VM would replay
+// the same draws and random choices would stop following their weights.
 func (e *Enclave) newVM() *vmState {
 	vm := edenvm.NewVM()
 	vm.Fuel = e.cfg.Fuel
-	if e.cfg.Rand != nil {
-		// The VM consults env.Rand when set; see invoke.
-		_ = vm
-	}
+	vm.Seed(splitmix64(e.vmSeq.Add(1)))
 	return &vmState{vm: vm}
 }
 
-// invokeWith executes one function against one packet under the
+// splitmix64 returns the i-th output of a splitmix64 generator: distinct,
+// well-spread seeds from consecutive integers.
+func splitmix64(i uint64) uint64 {
+	x := i * 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// invoke executes one function against one packet under the
 // function's concurrency class:
 //
 //   - parallel: message and global state are read-only; global state is
@@ -372,10 +388,8 @@ func (e *Enclave) newVM() *vmState {
 //   - exclusive: one invocation at a time (exclMu + global write lock).
 //
 // Packet fields are copied in, and written back only if the program halts
-// normally — a trapped invocation has no side effects (§3.4.3). When vs
-// is non-nil the caller's interpreter state is reused (the batch path,
-// §6: amortizing per-packet costs over a batch).
-func (e *Enclave) invokeWith(f *installedFunc, pkt *packet.Packet, now int64, mode Mode, vs *vmState) {
+// normally — a trapped invocation has no side effects (§3.4.3).
+func (e *Enclave) invoke(f *installedFunc, pkt *packet.Packet, now int64, mode Mode) {
 	e.stats.invocations.Add(1)
 	f.invocations.Add(1)
 	tr := e.cfg.Tracer
@@ -395,10 +409,8 @@ func (e *Enclave) invokeWith(f *installedFunc, pkt *packet.Packet, now int64, mo
 		}
 	}
 
-	if vs == nil {
-		vs = e.vmPool.Get().(*vmState)
-		defer e.vmPool.Put(vs)
-	}
+	vs := e.vmPool.Get().(*vmState)
+	defer e.vmPool.Put(vs)
 	env := &vs.env
 	env.Rand = e.cfg.Rand
 	env.Clock = e.cfg.Clock

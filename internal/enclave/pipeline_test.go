@@ -155,68 +155,3 @@ fun (p, m, g) ->
 		t.Errorf("traps = %d", e.Stats().Traps)
 	}
 }
-
-func TestProcessBatchMatchesSingle(t *testing.T) {
-	run := func(batch bool) []int64 {
-		e := testEnclave(t)
-		installPIAS(t, e)
-		var out []int64
-		if batch {
-			var pkts []*packet.Packet
-			for i := 0; i < 64; i++ {
-				p := mkPkt(1400)
-				p.Meta.Class = "a.b.c"
-				p.Meta.MsgID = uint64(1 + i%4)
-				pkts = append(pkts, p)
-			}
-			vs := e.ProcessBatch(Egress, pkts, 0)
-			for i, p := range pkts {
-				if vs[i].Drop {
-					t.Fatal("drop in batch")
-				}
-				out = append(out, p.Get(packet.FieldPriority))
-			}
-		} else {
-			for i := 0; i < 64; i++ {
-				p := mkPkt(1400)
-				p.Meta.Class = "a.b.c"
-				p.Meta.MsgID = uint64(1 + i%4)
-				e.Process(Egress, p, 0)
-				out = append(out, p.Get(packet.FieldPriority))
-			}
-		}
-		return out
-	}
-	single := run(false)
-	batched := run(true)
-	for i := range single {
-		if single[i] != batched[i] {
-			t.Fatalf("packet %d: single %d vs batched %d", i, single[i], batched[i])
-		}
-	}
-}
-
-func BenchmarkEnclaveProcessBatch(b *testing.B) {
-	var now int64
-	e := New(Config{Name: "b", Clock: func() int64 { now++; return now }})
-	f := compiler.MustCompile("pias", piasSrc)
-	e.InstallFunc(f)
-	e.UpdateGlobalArray("pias", "priorities", []int64{10 * 1024, 1024 * 1024})
-	e.UpdateGlobalArray("pias", "priovals", []int64{7, 5})
-	e.CreateTable(Egress, "t")
-	e.AddRule(Egress, "t", Rule{Pattern: "*", Func: "pias"})
-	const batch = 64
-	pkts := make([]*packet.Packet, batch)
-	for i := range pkts {
-		p := mkPkt(1400)
-		p.Meta.Class = "a.b.c"
-		p.Meta.MsgID = uint64(1 + i%8)
-		pkts[i] = p
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ProcessBatch(Egress, pkts, int64(i))
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
-}

@@ -153,9 +153,12 @@ func TestTxAbortDiscards(t *testing.T) {
 // TestTxCommitAtomicSwap races multi-table transactional swaps against
 // concurrent Process calls and asserts every packet observes one
 // generation of the two-table policy, never a mix. Table "first" writes
-// the priority base (1 or 2); table "second" appends a matching digit
-// (priority*10 + 1 or 2). Consistent policies yield 11 or 22; a torn read
-// would yield 12 or 21. Run with -race for full effect.
+// the priority base (1 or 2); table "second" appends a matching bit
+// (priority*2 + 1 or 2; the 3-bit PCP field holds every result).
+// Consistent policies yield 3 or 6; a torn read would yield 4 or 5. Every
+// worker processes a packet before the first commit, so the race is run
+// even where the scheduler would let the commits finish first. Run with
+// -race for full effect.
 func TestTxCommitAtomicSwap(t *testing.T) {
 	e := testEnclave(t)
 	install := func(name, src string) {
@@ -166,8 +169,8 @@ func TestTxCommitAtomicSwap(t *testing.T) {
 	}
 	install("a1", "fun (p, m, g) ->\n p.priority <- 1")
 	install("a2", "fun (p, m, g) ->\n p.priority <- 2")
-	install("b1", "fun (p, m, g) ->\n p.priority <- p.priority * 10 + 1")
-	install("b2", "fun (p, m, g) ->\n p.priority <- p.priority * 10 + 2")
+	install("b1", "fun (p, m, g) ->\n p.priority <- p.priority * 2 + 1")
+	install("b2", "fun (p, m, g) ->\n p.priority <- p.priority * 2 + 2")
 	if _, err := e.CreateTable(Egress, "first"); err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +187,13 @@ func TestTxCommitAtomicSwap(t *testing.T) {
 	const commits = 200
 	genBefore := e.Generation()
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, started sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
+		started.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			first := true
 			p := mkPkt(100)
 			p.Meta.Class = "x"
 			p.Meta.MsgID = uint64(w + 1)
@@ -202,13 +207,18 @@ func TestTxCommitAtomicSwap(t *testing.T) {
 				now++
 				e.Process(Egress, p, now)
 				got := p.Get(packet.FieldPriority)
-				if got != 11 && got != 22 {
+				if first {
+					started.Done()
+					first = false
+				}
+				if got != 3 && got != 6 {
 					t.Errorf("torn policy read: priority = %d", got)
 					return
 				}
 			}
 		}(w)
 	}
+	started.Wait()
 
 	cur := 1
 	for i := 0; i < commits; i++ {

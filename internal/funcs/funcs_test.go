@@ -1,7 +1,9 @@
 package funcs
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"eden/internal/enclave"
@@ -104,6 +106,41 @@ func TestMessageWCMPStablePerMessage(t *testing.T) {
 	}
 	if !seen[100] || !seen[200] {
 		t.Errorf("messages never spread over both paths: %v", seen)
+	}
+}
+
+// With Config.Rand unset each VM draws from its own generator, and the
+// enclave pools VMs in a sync.Pool that GC empties. Message-WCMP draws
+// must keep following the weights across GCs: VMs made after a GC start
+// from fresh seeds rather than replaying one fixed sequence. A batch of
+// 8 messages cannot match a 1:2 split (k/8 is never within 0.03 of 1/3),
+// so a replayed sequence fails the share check.
+func TestMessageWCMPWeightsSurviveGC(t *testing.T) {
+	var now int64
+	e := enclave.New(enclave.Config{Name: "t", Clock: func() int64 { now++; return now }})
+	if err := InstallMessageWCMP(e, "lb", "*", []int64{100, 200}, []int64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	const batches, perBatch = 500, 8
+	counts := map[uint16]int{}
+	msgID := uint64(0)
+	for b := 0; b < batches; b++ {
+		// Two cycles: the first only moves pooled VMs to the victim
+		// cache, the second drops them.
+		runtime.GC()
+		runtime.GC()
+		for i := 0; i < perBatch; i++ {
+			msgID++
+			p := classedPkt(1400, "x.y.z", msgID)
+			e.Process(enclave.Egress, p, now)
+			counts[p.VLAN.VID]++
+		}
+	}
+	for label, weight := range map[uint16]float64{100: 1.0 / 3, 200: 2.0 / 3} {
+		share := float64(counts[label]) / (batches * perBatch)
+		if math.Abs(share-weight) > 0.03 {
+			t.Errorf("label %d carried %.3f of messages, weight %.3f (counts %v)", label, share, weight, counts)
+		}
 	}
 }
 

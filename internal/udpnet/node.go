@@ -108,6 +108,7 @@ type Node struct {
 	inbound chan frame
 	ops     chan func()
 	txq     []txFrame
+	tx      txBatch
 
 	quit     chan struct{}
 	loopDone chan struct{}
@@ -220,6 +221,11 @@ func Start(cfg Config) (*Node, error) {
 		n.reg.Counter("pool_buf_allocs"), n.reg.Gauge("pool_buf_outstanding"))
 	n.pkts = newPktPool(cfg.Batch,
 		n.reg.Counter("pool_pkt_allocs"), n.reg.Gauge("pool_pkt_outstanding"))
+
+	if err := n.initTx(); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("udpnet: %w", err)
+	}
 
 	n.chain = enclave.Chain{OS: cfg.OS, NIC: cfg.NIC, Env: n}
 	n.stack = transport.NewStack(n, cfg.Transport)
@@ -428,19 +434,16 @@ func (n *Node) Schedule(at int64, fn func()) {
 	heap.Push(&n.timers, timerEv{at: at, seq: n.tseq, fn: fn})
 }
 
+// flushTx writes the tx queue to the socket (writeTx: one sendmmsg per
+// flush on Linux, one send per datagram elsewhere) and recycles its
+// buffers.
 func (n *Node) flushTx() {
 	if len(n.txq) == 0 {
 		return
 	}
+	n.writeTx()
 	for i := range n.txq {
 		f := &n.txq[i]
-		nw, err := n.conn.WriteToUDPAddrPort(f.enc, f.to)
-		if err != nil {
-			n.ctr.txSocketErr.Inc()
-		} else {
-			n.ctr.txDatagrams.Inc()
-			n.ctr.txBytes.Add(int64(nw))
-		}
 		n.bufs.Put(f.b)
 		f.b, f.enc = nil, nil
 	}

@@ -93,9 +93,9 @@ func TestNodeRawLoopback(t *testing.T) {
 	if rcvd.IP.Src != ipA || rcvd.UDPHdr.DstPort != 5001 {
 		t.Fatalf("headers did not survive: %+v", rcvd)
 	}
-	if a.Metrics().Counter("tx_datagrams").Load() == 0 {
-		t.Error("sender tx_datagrams is 0")
-	}
+	// The receiver can see the datagram before the sender's flush has
+	// counted it.
+	waitCounter(t, a.Metrics().Counter("tx_datagrams"), 1, "tx_datagrams")
 	waitCounter(t, b.Metrics().Counter("rx_raw_delivered"), 1, "rx_raw_delivered")
 }
 
@@ -353,5 +353,163 @@ func TestNodeTracing(t *testing.T) {
 			}
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// flushFrames transmits pkts from the node's event loop. With len(pkts)
+// equal to Batch, the last Transmit flushes the whole queue inline, so
+// the tx counters are final when it returns.
+func flushFrames(t *testing.T, n *Node, pkts []*packet.Packet) {
+	t.Helper()
+	if !n.DoWait(func() {
+		for _, pk := range pkts {
+			n.Transmit(pk)
+		}
+	}) {
+		t.Fatal("node closed")
+	}
+}
+
+func wantCounter(t *testing.T, n *Node, name string, want int64) {
+	t.Helper()
+	if got := n.Metrics().Counter(name).Load(); got != want {
+		t.Errorf("%s = %d, want %d", name, got, want)
+	}
+}
+
+// A full 32-frame flush alternating between two receivers counts every
+// datagram and every encoded byte exactly once, in one flush — from an
+// IPv4 socket to IPv4 peers, and from a dual-stack socket to one IPv4
+// peer (sent v4-mapped) and one IPv6 peer.
+func TestNodeFlushTwoReceivers(t *testing.T) {
+	for _, tc := range []struct{ name, listenA, listenC string }{
+		{"ipv4", "127.0.0.1:0", "127.0.0.1:0"},
+		{"dual-stack", ":0", "[::1]:0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ipC := packet.MustParseIP("10.0.0.3")
+			a, b := startPair(t, Config{Listen: tc.listenA}, Config{})
+			c, err := Start(Config{IP: ipC, Listen: tc.listenC})
+			if err != nil {
+				t.Skipf("no receiver on %s: %v", tc.listenC, err)
+			}
+			t.Cleanup(func() { c.Close() })
+			if err := a.AddPeer(ipC, c.Addr().String()); err != nil {
+				t.Fatal(err)
+			}
+
+			pkts := make([]*packet.Packet, 32)
+			var bytes int64
+			for i := range pkts {
+				dst := ipB
+				if i%2 == 1 {
+					dst = ipC
+				}
+				pk := packet.NewUDP(ipA, dst, 5000, uint16(6000+i), 8*i)
+				pk.Payload = make([]byte, 8*i)
+				pkts[i] = pk
+				bytes += int64(len(AppendPacket(nil, pk)))
+			}
+			flushFrames(t, a, pkts)
+
+			wantCounter(t, a, "tx_datagrams", 32)
+			wantCounter(t, a, "tx_bytes", bytes)
+			wantCounter(t, a, "tx_socket_errors", 0)
+			wantCounter(t, a, "tx_flushes", 1)
+			waitCounter(t, b.Metrics().Counter("rx_datagrams"), 16, "b rx_datagrams")
+			waitCounter(t, c.Metrics().Counter("rx_datagrams"), 16, "c rx_datagrams")
+		})
+	}
+}
+
+// A datagram the kernel rejects — here an IPv6 peer on an IPv4-bound
+// socket — costs one tx_socket_errors; the frames queued before and
+// after it in the same flush still go out.
+func TestNodeFlushSkipsRejectedDatagram(t *testing.T) {
+	ipV6 := packet.MustParseIP("10.0.0.6")
+	ports := make(chan uint16, 32)
+	a, _ := startPair(t, Config{Listen: "127.0.0.1:0"},
+		Config{OnRaw: func(pk *packet.Packet) { ports <- pk.UDPHdr.DstPort }})
+	if err := a.AddPeer(ipV6, "[::1]:9"); err != nil {
+		t.Fatal(err)
+	}
+
+	const bad = 13
+	pkts := make([]*packet.Packet, 32)
+	for i := range pkts {
+		dst := ipB
+		if i == bad {
+			dst = ipV6
+		}
+		pkts[i] = packet.NewUDP(ipA, dst, 5000, uint16(6000+i), 0)
+	}
+	flushFrames(t, a, pkts)
+
+	wantCounter(t, a, "tx_socket_errors", 1)
+	wantCounter(t, a, "tx_datagrams", 31)
+	got := map[uint16]bool{}
+	for len(got) < 31 {
+		select {
+		case port := <-ports:
+			got[port] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 31 frames delivered: %v", len(got), got)
+		}
+	}
+	for i := range pkts {
+		if port := uint16(6000 + i); got[port] != (i != bad) {
+			t.Errorf("frame %d (port %d): delivered = %v", i, port, got[port])
+		}
+	}
+}
+
+// A node whose socket buffers are clamped to the kernel minimum still
+// delivers a full flush of 1400-byte frames: a full send buffer parks
+// the flush on the netpoller and it resumes where it stopped.
+func TestNodeFlushTinySendBuffer(t *testing.T) {
+	a, b := startPair(t, Config{ReadBuffer: 1}, Config{})
+
+	pkts := make([]*packet.Packet, 32)
+	for i := range pkts {
+		pk := packet.NewUDP(ipA, ipB, 5000, uint16(6000+i), 1400)
+		pk.Payload = make([]byte, 1400)
+		pkts[i] = pk
+	}
+	flushFrames(t, a, pkts)
+
+	wantCounter(t, a, "tx_datagrams", 32)
+	wantCounter(t, a, "tx_socket_errors", 0)
+	waitCounter(t, b.Metrics().Counter("rx_datagrams"), 32, "rx_datagrams")
+}
+
+// A steady-state flush allocates nothing: frames come from the buffer
+// pool and the syscall arguments are preallocated on the node.
+func TestNodeFlushZeroAllocs(t *testing.T) {
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	n, err := Start(Config{IP: ipA, Peers: map[uint32]string{ipB: sink.LocalAddr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	pk := packet.NewUDP(ipA, ipB, 5000, 5001, 64)
+	pk.Payload = make([]byte, 64)
+	var allocs float64
+	n.DoWait(func() {
+		allocs = testing.AllocsPerRun(100, func() {
+			for i := 0; i < n.cfg.Batch; i++ {
+				n.Transmit(pk)
+			}
+		})
+	})
+	if allocs != 0 {
+		t.Errorf("flush allocates %.1f allocs per %d frames, want 0", allocs, n.cfg.Batch)
+	}
+	if got := n.Metrics().Counter("tx_datagrams").Load(); got < int64(100*n.cfg.Batch) {
+		t.Errorf("tx_datagrams = %d, want >= %d", got, 100*n.cfg.Batch)
 	}
 }
